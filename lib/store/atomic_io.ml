@@ -15,8 +15,13 @@ let write_string ~path content =
   incr tmp_counter;
   let tmp = Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) !tmp_counter in
   let oc = open_out_bin tmp in
-  (match output_string oc content with
-  | () -> close_out oc
+  (* A short write is only flushed by [close_out], so a full disk shows
+     up there: the close belongs inside the cleanup. *)
+  (match
+     output_string oc content;
+     close_out oc
+   with
+  | () -> ()
   | exception e ->
       close_out_noerr oc;
       (try Sys.remove tmp with Sys_error _ -> ());

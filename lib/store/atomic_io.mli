@@ -15,7 +15,9 @@ val ensure_dir : string -> unit
 val write_string : path:string -> string -> unit
 (** Atomically replace [path] with the given bytes.  The parent
     directory is created if missing; the temporary sibling carries the
-    writer's pid so concurrent writers never share it. *)
+    writer's pid so concurrent writers never share it.  If writing,
+    flushing or closing the temporary fails, its descriptor is closed,
+    the file removed and the exception re-raised. *)
 
 val write_json : path:string -> Jamming_telemetry.Json.t -> unit
 (** Atomic variant of {!Jamming_telemetry.Json.write_file}: same

@@ -37,8 +37,10 @@ val write_line : out_channel -> t -> unit
 
 val of_string : string -> (t, string) result
 (** Parse one JSON value (standard JSON; numbers without ['.'], ['e']
-    that fit an OCaml [int] load as [Int], everything else as [Float]).
-    Errors carry a character offset and a short description. *)
+    that fit an OCaml [int] load as [Int], everything else as [Float];
+    [\u] escapes decode to UTF-8, an escaped surrogate pair to one code
+    point, and a lone surrogate is an error).  Errors carry a character
+    offset and a short description. *)
 
 val read_file : path:string -> (t, string) result
 

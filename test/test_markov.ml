@@ -50,6 +50,50 @@ let prop_solve_random_systems =
       let x = Linalg.solve a b in
       Linalg.residual_norm a x b < 1e-8)
 
+(* --- the band-limited solver against the dense oracle --- *)
+
+(* Same bits or the same failure. *)
+let same_as_oracle a b =
+  let outcome solve =
+    match solve a b with
+    | x -> Ok (Array.map Int64.bits_of_float x)
+    | exception Failure msg -> Error msg
+  in
+  outcome Linalg.solve = outcome Oracle_linalg.solve
+
+(* A random system whose non-zeros lie in a band [lo] below and [up]
+   above the diagonal.  Each diagonal entry is small next to the entry
+   below it, so the first column always pivots on another row and the
+   swaps widen the upper band. *)
+let banded_system ~n ~lo ~up ~seed =
+  let g = Prng.create ~seed in
+  let r () = (2.0 *. Prng.float g) -. 1.0 in
+  let a =
+    Array.init n (fun i ->
+        Array.init n (fun j ->
+            if j < i - lo || j > i + up then 0.0
+            else if i = j then 0.1 *. r ()
+            else if i = j + 1 then 1.0 +. Prng.float g
+            else r ()))
+  in
+  (a, Array.init n (fun _ -> 10.0 *. r ()))
+
+let prop_banded_matches_oracle =
+  qtest ~count:300 "banded systems: bit-identical to the dense oracle"
+    QCheck.(quad (int_range 2 60) (int_range 1 16) (int_range 0 8) small_int)
+    (fun (n, lo, up, seed) ->
+      let a, b = banded_system ~n ~lo:(Int.min lo (n - 1)) ~up:(Int.min up (n - 1)) ~seed in
+      same_as_oracle a b)
+
+let prop_dense_matches_oracle =
+  qtest ~count:100 "dense systems: bit-identical to the dense oracle"
+    QCheck.(pair (int_range 1 40) small_int)
+    (fun (n, seed) ->
+      let g = Prng.create ~seed in
+      let a = Array.init n (fun _ -> Array.init n (fun _ -> (2.0 *. Prng.float g) -. 1.0)) in
+      let b = Array.init n (fun _ -> (20.0 *. Prng.float g) -. 10.0) in
+      same_as_oracle a b)
+
 (* --- the Markov anchor --- *)
 
 let test_markov_n1 () =
@@ -88,6 +132,28 @@ let test_markov_validation () =
   Alcotest.check_raises "n = 0" (Invalid_argument "Markov: n must be >= 1") (fun () ->
       ignore (Markov.expected_election_time ~n:0 ~a:16 ()))
 
+(* A5's grid, bit for bit: the band-limited solve must not move the
+   published anchor. *)
+let test_markov_a5_golden () =
+  List.iter
+    (fun (n, states, expected_slots, truncation_mass) ->
+      let r = Markov.expected_election_time ~n ~a:16 () in
+      check_int (Printf.sprintf "states at n = %d" n) states r.Markov.states;
+      Alcotest.(check string)
+        (Printf.sprintf "E[T] at n = %d" n)
+        expected_slots
+        (Printf.sprintf "%h" r.Markov.expected_slots);
+      Alcotest.(check string)
+        (Printf.sprintf "truncation mass at n = %d" n)
+        truncation_mass
+        (Printf.sprintf "%h" r.Markov.truncation_mass))
+    [
+      (4, 193, "0x1.dea41f8246217p+3", "0x0p+0");
+      (64, 257, "0x1.1cf563ad57216p+6", "0x0p+0");
+      (1024, 321, "0x1.0d5cf17026613p+7", "0x0p+0");
+      (16384, 385, "0x1.8d4b0108d119cp+7", "0x0p+0");
+    ]
+
 let suite =
   [
     ("solve identity", `Quick, test_solve_identity);
@@ -100,6 +166,9 @@ let suite =
     ("Markov: n = 1 closed form", `Quick, test_markov_n1);
     ("Markov matches simulation", `Slow, test_markov_matches_simulation);
     ("Markov truncation negligible", `Quick, test_markov_truncation_negligible);
+    ("Markov A5 grid bit for bit", `Quick, test_markov_a5_golden);
     ("Markov monotone in n", `Quick, test_markov_monotone_in_n);
     ("Markov validation", `Quick, test_markov_validation);
+    prop_banded_matches_oracle;
+    prop_dense_matches_oracle;
   ]

@@ -111,6 +111,229 @@ let test_json_roundtrip () =
   | Ok j -> Alcotest.failf "unexpected parse: %s" (Json.to_string j)
   | Error e -> Alcotest.failf "parse failed: %s" e
 
+(* --- the reader, pinned: every input below maps to the exact result or
+   error string [of_string] returns, so a faster reader must accept and
+   reject the same inputs at the same offsets. --- *)
+
+let rec show = function
+  | Json.Null -> "Null"
+  | Json.Bool b -> Printf.sprintf "Bool %b" b
+  | Json.Int i -> Printf.sprintf "Int %d" i
+  | Json.Float f -> Printf.sprintf "Float %h" f
+  | Json.String s -> Printf.sprintf "String %S" s
+  | Json.List xs -> "List [" ^ String.concat "; " (List.map show xs) ^ "]"
+  | Json.Obj fields ->
+      "Obj ["
+      ^ String.concat "; " (List.map (fun (k, v) -> Printf.sprintf "%S, %s" k (show v)) fields)
+      ^ "]"
+
+let parse_result s =
+  match Json.of_string s with Ok v -> "ok " ^ show v | Error e -> "error " ^ e
+
+let reader_golden =
+  [
+    ("", "error at offset 0: unexpected end of input");
+    ("   ", "error at offset 3: unexpected end of input");
+    ("{", "error at offset 1: expected '\"'");
+    ("{\"a\"", "error at offset 4: expected ':'");
+    ("{\"a\":", "error at offset 5: unexpected end of input");
+    ("{\"a\":1", "error at offset 6: expected '}'");
+    ("{\"a\":1,", "error at offset 7: expected '\"'");
+    ("{\"a\": [1, 2", "error at offset 11: expected ']'");
+    ("[", "error at offset 1: unexpected end of input");
+    ("[1", "error at offset 2: expected ']'");
+    ("[1,", "error at offset 3: unexpected end of input");
+    ("[1,2", "error at offset 4: expected ']'");
+    ("[1,]", "error at offset 3: unexpected ']'");
+    ("{,}", "error at offset 1: expected '\"'");
+    ("{\"a\" 1}", "error at offset 5: expected ':'");
+    ("{1:2}", "error at offset 1: expected '\"'");
+    ("[1 2]", "error at offset 3: expected ']'");
+    (" [ 1 , 2 ] ", "ok List [Int 1; Int 2]");
+    ("{ \"a\" : 1 , \"b\" : [ ] }", "ok Obj [\"a\", Int 1; \"b\", List []]");
+    ("-", "error at offset 1: bad number");
+    ("1.2.3", "error at offset 5: bad number");
+    ("01", "ok Int 1");
+    ("-0", "ok Int 0");
+    ("-0.0", "ok Float -0x0p+0");
+    ("9999999999999999999", "ok Float 0x1.158e460913dp+63");
+    ("4611686018427387903", "ok Int 4611686018427387903");
+    ("-4611686018427387904", "ok Int -4611686018427387904");
+    ("4611686018427387904", "ok Float 0x1p+62");
+    ("123456789012345678", "ok Int 123456789012345678");
+    ("-123456789012345678", "ok Int -123456789012345678");
+    ("1e3", "ok Float 0x1.f4p+9");
+    ("-4.5", "ok Float -0x1.2p+2");
+    ("1E+2", "ok Float 0x1.9p+6");
+    ("-.5", "ok Float -0x1p-1");
+    ("1.", "ok Float 0x1p+0");
+    ("--1", "error at offset 3: bad number");
+    ("1-2", "error at offset 3: bad number");
+    ("+1", "error at offset 0: unexpected '+'");
+    ("0x10", "error at offset 1: trailing garbage");
+    ("1e", "error at offset 2: bad number");
+    (".5", "error at offset 0: unexpected '.'");
+    ("1e999", "ok Float infinity");
+    ("2.5e-320", "ok Float 0x0.00000000013c4p-1022");
+    ("\"a\000b\"", "ok String \"a\\000b\"");
+    ("\000", "error at offset 0: unexpected '\\000'");
+    ("[1\000]", "error at offset 2: expected ']'");
+    ("1 2", "error at offset 2: trailing garbage");
+    ("{} x", "error at offset 3: trailing garbage");
+    ("[]]", "error at offset 2: trailing garbage");
+    ("nullx", "error at offset 4: trailing garbage");
+    ("\"a\"\"b\"", "error at offset 3: trailing garbage");
+    ("nul", "error at offset 0: expected null");
+    ("tru", "error at offset 0: expected true");
+    ("fals", "error at offset 0: expected false");
+    ("true", "ok Bool true");
+    ("false", "ok Bool false");
+    ("null", "ok Null");
+    ("NaN", "error at offset 0: unexpected 'N'");
+    ("\"\\x\"", "error at offset 2: bad escape");
+    ("\"\\", "error at offset 2: bad escape");
+    ("\"abc", "error at offset 4: unterminated string");
+    ("\"\\u12\"", "error at offset 2: truncated \\u escape");
+    ("\"\\u12G4\"", "error at offset 2: bad \\u escape");
+    ("\"\\u00e9\"", "ok String \"\\195\\169\"");
+    ("\"\\u0041\"", "ok String \"A\"");
+    ("\"\\u00_1\"", "ok String \"\\001\"");
+    ("\"\\/\"", "ok String \"/\"");
+    ("\"\\b\\f\\n\\r\\t\\\"\\\\\"", "ok String \"\\b\\012\\n\\r\\t\\\"\\\\\"");
+    ("\"\\u20ac\"", "ok String \"\\226\\130\\172\"");
+    (* Escaped surrogate pairs decode to one 4-byte UTF-8 sequence; a
+       lone surrogate is rejected at its own \u. *)
+    ("\"\\ud83d\\ude00\"", "ok String \"\\240\\159\\152\\128\"");
+    ("\"\\uD800\\uDC00\"", "ok String \"\\240\\144\\128\\128\"");
+    ("\"\\udbff\\udfff\"", "ok String \"\\244\\143\\191\\191\"");
+    ("\"\\ud83d\"", "error at offset 2: bad \\u escape");
+    ("\"\\ude00\"", "error at offset 2: bad \\u escape");
+    ("\"\\ud83d\\u0041\"", "error at offset 2: bad \\u escape");
+    ("\"\\ud83dx\"", "error at offset 2: bad \\u escape");
+    ("\"a\\ud83d\\ude0\"", "error at offset 3: bad \\u escape");
+    ("\"\\ud83d\\ude00\\ud83d\"", "error at offset 14: bad \\u escape");
+  ]
+
+let test_reader_golden () =
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check string) (Printf.sprintf "of_string %S" input) expected (parse_result input))
+    reader_golden
+
+(* One record exactly as the run store wrote it (compact line plus
+   newline).  Every strict prefix is a truncated file; the digest pins
+   the result of parsing each one, in order. *)
+let stored_record =
+  String.concat ""
+    [
+      {|{"schema":"jamming-election.store/1","fingerprint":"2231e46955824bc0895d69c664|};
+      {|37dc32","key":{"kind":"uniform","protocol":"LESK(0.5)","cd":"strong-CD","adver|};
+      {|sary":"greedy","n":64,"eps":0.5,"window":16,"max_slots":50000,"reps":3,"base_s|};
+      {|eed":42},"hash":"39afd7d06e390d19d0831e425d24062d","value":{"protocol":"LESK(0|};
+      {|.5)","adversary":"greedy","setup":{"n":64,"eps":0.5,"window":16,"max_slots":50|};
+      {|000},"reps":3,"total_slots":274,"success_rate":1.0,"median_slots":95.0,"mean_e|};
+      {|nergy_per_station":23.627474113396108,"median_jammed_fraction":0.4742268041237|};
+      {|1132,"results":[{"slots":82,"completed":true,"elected":true,"leader":31,"statu|};
+      {|ses":null,"jammed_slots":39,"nulls":0,"singles":1,"collisions":81,"transmissio|};
+      {|ns":1466.2925088993666,"max_station_transmissions":0},{"slots":95,"completed":|};
+      {|true,"elected":true,"leader":43,"statuses":null,"jammed_slots":45,"nulls":1,"s|};
+      {|ingles":1,"collisions":93,"transmissions":1509.4582958032345,"max_station_tran|};
+      {|smissions":0},{"slots":97,"completed":true,"elected":true,"leader":52,"statuse|};
+      {|s":null,"jammed_slots":46,"nulls":1,"singles":1,"collisions":95,"transmissions|};
+      {|":1560.7242250694517,"max_station_transmissions":0}]}}|};
+    ]
+  ^ "\n"
+
+let test_reader_prefixes () =
+  let n = String.length stored_record in
+  let results = List.init n (fun k -> parse_result (String.sub stored_record 0 k)) in
+  check_int "strict prefixes" 1147 (List.length results);
+  check_true "the whole record parses" (Result.is_ok (Json.of_string stored_record));
+  Alcotest.(check string)
+    "digest of every prefix's result" "4eb39afbc04c1cdc46b3a3a37c425d2a"
+    (Digest.to_hex (Digest.string (String.concat "\n" results)))
+
+(* Writer then reader is the identity on every tree whose floats are
+   finite, down to the bits of each float. *)
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List xs, Json.List ys -> List.length xs = List.length ys && List.for_all2 json_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k, v) (k', v') -> String.equal k k' && json_equal v v') xs ys
+  | _ -> a = b
+
+let gen_json =
+  let open QCheck.Gen in
+  let text =
+    let byte =
+      frequency
+        [
+          (6, char_range 'a' 'z');
+          (2, oneofl [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\b'; '\012' ]);
+          (2, map Char.chr (int_range 0 0x1f));
+          (1, map Char.chr (int_range 0x80 0xff));
+        ]
+    in
+    frequency
+      [
+        (4, string_size ~gen:byte (int_bound 12));
+        (1, oneofl [ ""; "τ"; "naïve"; "日本"; "😀"; "\000" ]);
+      ]
+  in
+  let int =
+    frequency [ (4, int); (1, oneofl [ max_int; min_int; 0; -1 ]); (2, int_range (-1000) 1000) ]
+  in
+  let finite =
+    let rec bits st =
+      let f = Int64.float_of_bits (Random.State.int64 st Int64.max_int) in
+      if Float.is_finite f then f else bits st
+    in
+    frequency
+      [
+        (* Random bit patterns need all 17 significant digits. *)
+        (3, map2 (fun f neg -> if neg then -.f else f) bits bool);
+        (1, map (fun k -> Float.ldexp (float_of_int k) (-1074)) (int_range 1 ((1 lsl 52) - 1)));
+        (* Integral floats from 2^52 to 2^57, printed without exponent. *)
+        ( 1,
+          map2
+            (fun m e -> Float.ldexp (float_of_int m) e)
+            (int_range (1 lsl 52) ((1 lsl 53) - 1))
+            (int_range 0 4) );
+        (1, oneofl [ 0.0; -0.0; 2.0; 1e15; Float.max_float; Float.min_float; 5e-324; 0.1 ]);
+        (2, float_range (-1e6) 1e6);
+      ]
+  in
+  sized
+  @@ fix (fun self size ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int;
+               map (fun f -> Json.Float f) finite;
+               map (fun s -> Json.String s) text;
+             ]
+         in
+         if size <= 0 then leaf
+         else
+           frequency
+             [
+               (3, leaf);
+               (1, map (fun xs -> Json.List xs) (list_size (int_bound 4) (self (size / 3))));
+               (1, map (fun fs -> Json.Obj fs) (list_size (int_bound 4) (pair text (self (size / 3)))));
+             ])
+
+let test_reader_roundtrip =
+  qtest ~count:500 "json of_string (to_string v) = Ok v"
+    (QCheck.make ~print:show gen_json)
+    (fun v ->
+      match Json.of_string (Json.to_string v) with
+      | Ok v' -> json_equal v v'
+      | Error e -> QCheck.Test.fail_reportf "unparseable: %s" e)
+
 let test_result_json_golden () =
   let r =
     {
@@ -176,6 +399,20 @@ let test_float_image_exact () =
     [
       0.1; 1.0 /. 3.0; Float.pi; 1e-300; 6.02214076e23; 123456789.123456789;
       Float.succ 1.0; Float.pred 1.0; 2.0; 0.0;
+    ];
+  (* Integral floats in [1e15, 1e17) that need 17 digits keep their
+     ".0" marker, so they read back as floats, not ints. *)
+  List.iter
+    (fun (f, image) ->
+      Alcotest.(check string) (Printf.sprintf "image of %h" f) image (Json.to_string (Json.Float f));
+      check_true "reads back as the same float"
+        (Json.of_string image = Ok (Json.Float f)))
+    [
+      (0x1.3cd8c59611666p+56, "89184435778446944.0");
+      (-0x1.3cd8c59611666p+56, "-89184435778446944.0");
+      (Float.succ 1e15, "1000000000000000.1");
+      (1e16 +. 2.0, "10000000000000002.0");
+      (1e15, "1e+15");
     ]
 
 let gen_tx_count =
@@ -346,6 +583,9 @@ let suite =
     ("merge and reset", `Quick, test_merge_and_reset);
     ("json golden", `Quick, test_json_golden);
     ("json round-trip", `Quick, test_json_roundtrip);
+    ("json reader golden table", `Quick, test_reader_golden);
+    ("json reader on every prefix of a stored record", `Quick, test_reader_prefixes);
+    test_reader_roundtrip;
     ("result json golden", `Quick, test_result_json_golden);
     ("float image exact", `Quick, test_float_image_exact);
     test_tx_count_roundtrip;
